@@ -87,8 +87,9 @@ func runScale() {
 		}
 	}
 	if rep.CPUs < 8 {
-		rep.Note = fmt.Sprintf("measured on %d CPU(s): shard workers time-slice one core, so wall-clock "+
-			"speedup reflects synchronization overhead, not parallelism; the >=3x target needs >=8 cores", rep.CPUs)
+		rep.Note = fmt.Sprintf("measured on %d CPU(s): at most %d shard workers run at once, so runs with more "+
+			"shards than that time-slice their workers and the extra shards' wall-clock speedup reflects "+
+			"synchronization overhead, not parallelism; the >=3x target needs >=8 cores", rep.CPUs, rep.CPUs)
 	}
 	fmt.Printf("  speedup 8/1: %.2fx   digests identical: %v\n", rep.Speedup8x, rep.Identical)
 	if rep.Note != "" {

@@ -121,9 +121,9 @@ func TestCleanModedScenariosTripNoInvariant(t *testing.T) {
 // while the rest of the suite stays green.
 func TestLossyModeDropsWithoutLosslessViolation(t *testing.T) {
 	sc := Scenario{
-		Seed:       11,
-		Protocol:   "DCQCN",
-		Topology:   TopologySpec{Kind: TopoStar, N: 12, Gbps: 10},
+		Seed:     11,
+		Protocol: "DCQCN",
+		Topology: TopologySpec{Kind: TopoStar, N: 12, Gbps: 10},
 		// 12 x 400 KB through the 10G hub is ~3.9 ms of pure
 		// serialization; the window adds room for go-back-N waste and
 		// DCQCN convergence so every transfer can finish.

@@ -71,7 +71,7 @@ type Port struct {
 	TxBytes       uint64 // all classes
 	TxDataBytes   uint64
 	TxPackets     uint64
-	LinkDownDrops uint64 // packets lost to a downed link
+	LinkDownDrops uint64   // packets lost to a downed link
 	pausedFor     sim.Time // completed pause intervals
 	pausedAt      sim.Time
 }

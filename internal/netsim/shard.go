@@ -12,7 +12,7 @@ import (
 // that keeps flow-registry mutation and user callbacks on the global
 // lane.
 //
-// Lane encoding for the (at, k1, seq) event keys — see sim.event.k1:
+// Lane encoding for the (at, k1, seq) event keys — see sim.entry.k1:
 //
 //	0                 global/setup lane: events scheduled by global-lane
 //	                  code (workload arrivals, monitors, tickers created

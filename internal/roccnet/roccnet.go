@@ -60,9 +60,9 @@ type CP struct {
 	CNPsSent uint64
 
 	// Telemetry (nil-safe; resolved from the network at Attach).
-	rec      *telemetry.Recorder
-	tmCNPs   *telemetry.Counter
-	tmFair   *telemetry.Histogram
+	rec    *telemetry.Recorder
+	tmCNPs *telemetry.Counter
+	tmFair *telemetry.Histogram
 }
 
 // Attach installs a RoCC congestion point on the given egress port of sw

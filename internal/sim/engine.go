@@ -1,29 +1,19 @@
 package sim
 
-import "container/heap"
+import "math/bits"
 
 // event is one scheduled callback slot. Slots are owned by the engine:
 // after an event fires or is cancelled its slot returns to an engine free
 // list and is reused by a later At/After, so a steady-state simulation
 // schedules without allocating. The generation counter makes stale
-// Handles (kept by callers across a recycle) permanently inert.
+// Handles (kept by callers across a recycle) permanently inert. The
+// event's ordering key lives in its queue entry, not here.
 type event struct {
-	at  Time
-	seq uint64
 	gen uint64 // bumped on every recycle; Handles carry the gen they saw
 
-	// k1 is the ordering lane: events with equal timestamps sort by
-	// (k1, seq). Legacy (unsharded) scheduling leaves k1 at zero, so the
-	// order degenerates to the historical (at, seq) and stays
-	// byte-identical. Sharded runs use lanes to make same-timestamp
-	// ordering independent of how the topology is partitioned: a lane is
-	// shared only by events whose relative seq order is itself
-	// partition-independent (see shard.go and DESIGN.md §14).
-	//
 	// ctx is the lane inherited by children: while this event's callback
 	// runs, any event it schedules via At/After/AtCall/AfterCall is
-	// stamped k1=ctx=ctx. AtKeyed sets both explicitly.
-	k1  uint64
+	// stamped k1=ctx. AtKeyed sets both explicitly.
 	ctx uint64
 
 	// Exactly one of fn / cb is set while scheduled; both nil once the
@@ -35,7 +25,7 @@ type event struct {
 	cb   Callback
 	a, b any
 
-	index  int // heap index, -1 once popped or cancelled
+	index  int // queue index, -1 once popped or cancelled
 	engine *Engine
 }
 
@@ -66,63 +56,145 @@ func (h Handle) At() Time {
 	if !h.live() {
 		return 0
 	}
-	return h.ev.at
+	return h.ev.engine.events[h.ev.index].at
 }
 
 // Cancelled reports whether the event fired, was cancelled, or was never
 // scheduled (the zero Handle).
 func (h Handle) Cancelled() bool { return !h.live() }
 
-// Cancel prevents the event from firing. Cancelling an event that already
+// Cancel prevents the event from firing. The event leaves the queue at
+// once, so Pending drops immediately. Cancelling an event that already
 // fired, was cancelled, or whose slot has since been reused is a no-op.
 func (h Handle) Cancel() {
 	if !h.live() {
 		return
 	}
 	ev := h.ev
-	if ev.index >= 0 {
-		heap.Remove(&ev.engine.events, ev.index)
-	}
+	ev.engine.events.remove(ev.index)
 	ev.engine.recycle(ev)
 }
 
-type eventHeap []*event
+// entry is one queue element: an event with its ordering key held
+// inline, so sift comparisons never dereference the event.
+//
+// k1 is the ordering lane: events with equal timestamps sort by
+// (k1, seq). Legacy (unsharded) scheduling leaves k1 at zero, so the
+// order degenerates to the historical (at, seq) and stays
+// byte-identical. Sharded runs use lanes to make same-timestamp
+// ordering independent of how the topology is partitioned: a lane is
+// shared only by events whose relative seq order is itself
+// partition-independent (see shard.go and DESIGN.md §14).
+type entry struct {
+	at  Time
+	k1  uint64
+	seq uint64
+	ev  *event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the queue order: (at, k1, seq) lexicographically. No two
+// pending events share a key, so the order is strict and total, and the
+// firing sequence does not depend on the queue's shape.
+func (x *entry) before(y *entry) bool { return lessBit(x, y) != 0 }
+
+// lessBit is before as 1 or 0, computed without branches: the borrow out
+// of the 192-bit subtraction x−y over (at, k1, seq), with at's sign bit
+// flipped so signed order becomes unsigned order. Sift comparisons are
+// close to coin flips, so a branch on each would mostly mispredict.
+func lessBit(x, y *entry) int {
+	_, b := bits.Sub64(x.seq, y.seq, 0)
+	_, b = bits.Sub64(x.k1, y.k1, b)
+	_, b = bits.Sub64(uint64(x.at)^1<<63, uint64(y.at)^1<<63, b)
+	return int(b)
+}
+
+// eventQueue is a 4-ary min-heap of entries. Every move writes the
+// event's index, so Cancel removes an event in O(log n) without a search.
+type eventQueue []entry
+
+func (q *eventQueue) push(x entry) {
+	*q = append(*q, x)
+	q.up(len(*q)-1, x)
+}
+
+// pop removes and returns the earliest entry. The queue must not be empty.
+func (q *eventQueue) pop() entry {
+	top := (*q)[0]
+	q.remove(0)
+	return top
+}
+
+// remove deletes the entry at index i, refilling the hole with the last
+// entry and sifting it whichever way the order needs.
+func (q *eventQueue) remove(i int) {
+	h := *q
+	n := len(h) - 1
+	last := h[n]
+	h[n] = entry{}
+	h = h[:n]
+	*q = h
+	if i == n {
+		return
 	}
-	if h[i].k1 != h[j].k1 {
-		return h[i].k1 < h[j].k1
+	if i > 0 && last.before(&h[(i-1)/4]) {
+		h.up(i, last)
+	} else {
+		h.down(i, last)
 	}
-	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// up settles x into the hole at i, moving later parents down.
+func (q eventQueue) up(i int, x entry) {
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].ev.index = i
+		i = p
+	}
+	q[i] = x
+	x.ev.index = i
 }
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+
+// down settles x into the hole at i, moving the earliest child up.
+func (q eventQueue) down(i int, x entry) {
+	n := len(q)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		if c+3 < n {
+			// Earliest of four children as a branch-free tournament.
+			m += lessBit(&q[c+1], &q[c])
+			m2 := c + 2 + lessBit(&q[c+3], &q[c+2])
+			m ^= (m ^ m2) & -lessBit(&q[m2], &q[m])
+		} else {
+			for j := c + 1; j < n; j++ {
+				if q[j].before(&q[m]) {
+					m = j
+				}
+			}
+		}
+		if !q[m].before(&x) {
+			break
+		}
+		q[i] = q[m]
+		q[i].ev.index = i
+		i = m
+	}
+	q[i] = x
+	x.ev.index = i
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable;
 // construct with New.
 type Engine struct {
 	now        Time
-	events     eventHeap
+	events     eventQueue
 	free       []*event // recycled slots, reused by At/After
 	seq        uint64
 	stopped    bool
@@ -186,21 +258,24 @@ func (e *Engine) recycle(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// schedule inserts an acquired, filled slot into the heap.
+// schedule stamps an acquired, filled slot with the engine's next key
+// and queues it.
 func (e *Engine) schedule(ev *event, t Time) Handle {
 	if t < e.now {
 		panic("sim: scheduling event in the past")
 	}
 	e.seq++
-	ev.at = t
-	ev.seq = e.seq
-	ev.k1 = e.curCtx
 	ev.ctx = e.curCtx
-	heap.Push(&e.events, ev)
+	return e.push(entry{at: t, k1: e.curCtx, seq: e.seq, ev: ev})
+}
+
+// push queues a filled slot under its key and tracks the high-water mark.
+func (e *Engine) push(x entry) Handle {
+	e.events.push(x)
 	if len(e.events) > e.maxPending {
 		e.maxPending = len(e.events)
 	}
-	return Handle{ev: ev, gen: ev.gen}
+	return Handle{ev: x.ev, gen: x.ev.gen}
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
@@ -254,15 +329,8 @@ func (e *Engine) AtKeyed(t Time, lane, seq, ctx uint64, cb Callback, a, b any) H
 	if t < e.now {
 		panic("sim: scheduling event in the past")
 	}
-	ev.at = t
-	ev.seq = seq
-	ev.k1 = lane
 	ev.ctx = ctx
-	heap.Push(&e.events, ev)
-	if len(e.events) > e.maxPending {
-		e.maxPending = len(e.events)
-	}
-	return Handle{ev: ev, gen: ev.gen}
+	return e.push(entry{at: t, k1: lane, seq: seq, ev: ev})
 }
 
 // Stop makes Run and RunUntil return after the current event completes.
@@ -281,8 +349,9 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*event)
-	e.now = ev.at
+	top := e.events.pop()
+	ev := top.ev
+	e.now = top.at
 	e.curCtx = ev.ctx
 	fn, cb, a, b := ev.fn, ev.cb, ev.a, ev.b
 	e.recycle(ev)
@@ -328,7 +397,7 @@ func (e *Engine) RunUntil(end Time) {
 }
 
 // nextAt returns the timestamp of the earliest pending event, or
-// maxTime when the heap is empty.
+// maxTime when the queue is empty.
 func (e *Engine) nextAt() Time {
 	if len(e.events) == 0 {
 		return maxTime
@@ -342,7 +411,7 @@ func (e *Engine) nextAt() Time {
 // causally closed within the shard (cross-shard influence cannot arrive
 // before w), so shards run their windows concurrently.
 func (e *Engine) runWindow(w Time) {
-	for len(e.events) > 0 && e.events[0].at < w {
+	for e.nextAt() < w {
 		e.Step()
 	}
 	if e.now < w {

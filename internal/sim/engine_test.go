@@ -313,7 +313,7 @@ func TestStaleHandleCancelIsInert(t *testing.T) {
 	}
 	fired := false
 	h2 := e.At(20, func() { fired = true }) // reuses h1's slot
-	h1.Cancel()                            // stale: must be a no-op
+	h1.Cancel()                             // stale: must be a no-op
 	e.Run()
 	if !fired {
 		t.Fatal("stale Cancel killed the slot's new occupant")

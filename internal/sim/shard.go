@@ -15,7 +15,7 @@ import "sync"
 // Determinism contract: the window-boundary sequence is derived only
 // from the union of pending event times (partition-independent), and
 // same-timestamp ordering uses the (at, k1, seq) lane keys stamped by
-// the scheduling side (see event.k1) — so a fixed-seed run produces
+// the scheduling side (see entry.k1) — so a fixed-seed run produces
 // byte-identical results for any shard count over the same model.
 //
 // The global lane is the engine the model was built against: existing
@@ -279,8 +279,10 @@ func (g *Group) runUntil(bound Time, drain bool) {
 		if g.onBarrier != nil {
 			g.onBarrier(w)
 		}
-		for !g.stopped && len(g.global.events) > 0 &&
-			g.global.events[0].at <= w && g.global.events[0].at < bound {
+		for !g.stopped {
+			if at := g.global.nextAt(); at > w || at >= bound {
+				break
+			}
 			g.global.Step()
 		}
 	}
