@@ -56,7 +56,7 @@ type scaleReport struct {
 func runScale() {
 	fmt.Printf("scale: k=16 fat-tree engine-scaling bench (1024 hosts, %d flows, %d CPUs, GOMAXPROCS %d)\n",
 		*flowsFlag, runtime.NumCPU(), runtime.GOMAXPROCS(0))
-	fmt.Printf("  %-7s %12s %10s %14s %8s\n", "shards", "events", "wall s", "events/sec", "digest")
+	fmt.Printf("  %-7s %12s %10s %10s %14s %8s\n", "shards", "events", "setup s", "wall s", "events/sec", "digest")
 	var results []experiments.ScaleBenchResult
 	for _, k := range []int{1, 2, 4, 8} {
 		r := experiments.RunScaleBench(experiments.ScaleBenchConfig{
@@ -67,7 +67,7 @@ func runScale() {
 			Duration: dur(sim.Millisecond),
 		})
 		results = append(results, r)
-		fmt.Printf("  %-7d %12d %10.2f %14.0f %8s\n", r.Shards, r.Events, r.WallSec, r.EventsPerSec, r.Digest[:8])
+		fmt.Printf("  %-7d %12d %10.3f %10.2f %14.0f %8s\n", r.Shards, r.Events, r.SetupSec, r.WallSec, r.EventsPerSec, r.Digest[:8])
 	}
 
 	rep := scaleReport{

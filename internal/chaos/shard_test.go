@@ -9,11 +9,12 @@ import (
 // soakVerdicts runs a fixed-seed campaign at one shard count and returns
 // the verdict sequence serialized — the byte-level artifact the
 // determinism contract is stated over.
-func soakVerdicts(t *testing.T, count int, shards int) []byte {
+func soakVerdicts(t *testing.T, gen GenOptions, count int, shards int) []byte {
 	t.Helper()
 	rep := Soak(SoakOptions{
 		Seed:  2024,
 		Count: count,
+		Gen:   gen,
 		Run:   RunOptions{Shards: shards},
 	})
 	if len(rep.Verdicts) != count {
@@ -37,9 +38,27 @@ func TestSoakShardDeterminism(t *testing.T) {
 	if testing.Short() {
 		count = 6
 	}
-	base := soakVerdicts(t, count, 1)
+	checkSoakShardIdentity(t, GenOptions{}, count)
+}
+
+// TestSoakFailShardDeterminism forces a topology kill into every
+// scenario: local ECMP invalidation, blackhole windows and route
+// reconvergence must all be partition-independent too.
+func TestSoakFailShardDeterminism(t *testing.T) {
+	count := 20
+	if testing.Short() {
+		count = 4
+	}
+	checkSoakShardIdentity(t, GenOptions{FailProb: 1}, count)
+}
+
+// checkSoakShardIdentity requires byte-identical verdict logs at shard
+// counts 1, 2 and 8.
+func checkSoakShardIdentity(t *testing.T, gen GenOptions, count int) {
+	t.Helper()
+	base := soakVerdicts(t, gen, count, 1)
 	for _, k := range []int{2, 8} {
-		got := soakVerdicts(t, count, k)
+		got := soakVerdicts(t, gen, count, k)
 		if !bytes.Equal(base, got) {
 			diffAt := len(base)
 			for i := 0; i < len(base) && i < len(got); i++ {

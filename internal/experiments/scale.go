@@ -68,6 +68,11 @@ type ScaleBenchResult struct {
 	WallSec      float64 `json:"wall_sec"`
 	EventsPerSec float64 `json:"events_per_sec"`
 
+	// SetupSec is the wall time from BuildFatTree (routes included) to
+	// the last StartFlow; WallSec and EventsPerSec cover the event loop
+	// only.
+	SetupSec float64 `json:"setup_sec"`
+
 	// Digest fingerprints the run's observable end state (per-host
 	// delivered bytes, drops, events fired). Fixed-seed runs must report
 	// the same digest at every Shards >= 1 — the determinism contract,
@@ -75,10 +80,13 @@ type ScaleBenchResult struct {
 	Digest string `json:"digest"`
 }
 
-// RunScaleBench runs one scaling cell and measures wall-clock event
-// throughput (setup and teardown excluded).
+// RunScaleBench runs one scaling cell and measures the wall time of its
+// set-up (fabric, routes, partition, protocol wiring, flow starts) and,
+// separately, of its event loop, from which it derives event throughput.
+// Teardown is not timed.
 func RunScaleBench(cfg ScaleBenchConfig) ScaleBenchResult {
 	cfg.fill()
+	setupStart := time.Now()
 	engine := sim.New()
 	ft := topology.BuildFatTree(engine, cfg.Seed, cfg.FatTree)
 	var g *sim.Group
@@ -111,6 +119,7 @@ func RunScaleBench(cfg ScaleBenchConfig) ScaleBenchResult {
 		}
 		stack.StartFlow(src, dst, -1, 0)
 	}
+	setup := time.Since(setupStart).Seconds()
 
 	start := time.Now()
 	engine.RunUntil(cfg.Duration)
@@ -141,6 +150,7 @@ func RunScaleBench(cfg ScaleBenchConfig) ScaleBenchResult {
 		Events:       fired,
 		WallSec:      wall,
 		EventsPerSec: float64(fired) / wall,
+		SetupSec:     setup,
 		Digest:       fmt.Sprintf("%016x", h.Sum64()),
 	}
 }

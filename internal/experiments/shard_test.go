@@ -69,3 +69,23 @@ func TestFCTShardDeterminismAllProtocols(t *testing.T) {
 		})
 	}
 }
+
+// TestScaleBenchTimesSetupApart: the scale cell reports its set-up time
+// apart from the event loop, and its digest holds across shard counts.
+func TestScaleBenchTimesSetupApart(t *testing.T) {
+	run := func(k int) ScaleBenchResult {
+		return RunScaleBench(ScaleBenchConfig{
+			Shards:   k,
+			FatTree:  topology.ScaledFatTree(4),
+			Flows:    40,
+			Duration: 20 * sim.Microsecond,
+		})
+	}
+	one, two := run(1), run(2)
+	if one.SetupSec <= 0 || one.WallSec <= 0 {
+		t.Errorf("setup %v s, event loop %v s: want both timed", one.SetupSec, one.WallSec)
+	}
+	if one.Events == 0 || one.Digest != two.Digest {
+		t.Errorf("events %d; digest %s at 1 shard, %s at 2", one.Events, one.Digest, two.Digest)
+	}
+}

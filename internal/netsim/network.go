@@ -138,7 +138,6 @@ func (n *Network) AddSwitch(name string, buf BufferConfig) *Switch {
 		id:     NodeID(len(n.nodes)),
 		Name:   name,
 		Buffer: buf,
-		routes: make(map[NodeID][]int),
 		eng:    n.Engine,
 	}
 	n.nodes = append(n.nodes, s)
@@ -192,58 +191,70 @@ func (n *Network) attach(node Node, p *Port) {
 // switches carry no routes). Call after the topology is complete; the
 // reconvergence machinery (topofail.go) calls it again after every
 // FailLink/FailSwitch/Restore window.
+//
+// A host has one NIC port and never forwards, so it is a leaf: for a
+// host h behind attachment switch E, every other switch has the same
+// next hops toward h as toward E, and E itself forwards out of the port
+// whose peer is h. So one breadth-first search over the switches per
+// attachment switch yields the table entries of all its hosts, and those
+// hosts share one next-hop slice per switch. Shared slices are never
+// edited in place (see invalidatePort). Each slice lists its ports in
+// index order, which the ECMP hash in egressFor depends on.
 func (n *Network) ComputeRoutes() {
 	for _, s := range n.switches {
-		s.routes = make(map[NodeID][]int)
+		s.routes = make([][]int, len(n.nodes))
 	}
-	for _, dst := range n.hosts {
-		dist := n.bfs(dst)
-		for _, s := range n.switches {
-			if s.failed {
-				continue
+	dist := make([]int32, len(n.nodes)) // hops to the attachment switch; -1: unreached or a host
+	queue := make([]*Switch, 0, len(n.switches))
+	var hosts []*Host // hosts behind the attachment switch, over links up at the host's end
+	for _, e := range n.switches {
+		if e.failed {
+			continue
+		}
+		hosts = hosts[:0]
+		for _, p := range e.ports {
+			if h, ok := p.PeerNode.(*Host); ok && !h.port.linkDown {
+				hosts = append(hosts, h)
 			}
-			ds, ok := dist[s.id]
-			if !ok {
-				continue
-			}
-			var next []int
-			for i, p := range s.ports {
-				if p.linkDown {
+		}
+		if len(hosts) == 0 {
+			continue
+		}
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[e.id] = 0
+		queue = append(queue[:0], e)
+		for head := 0; head < len(queue); head++ {
+			cur := queue[head]
+			for _, p := range cur.ports {
+				s, ok := p.PeerNode.(*Switch)
+				if p.linkDown || !ok || s.failed || dist[s.id] >= 0 {
 					continue
 				}
-				if dp, ok := dist[p.PeerNode.ID()]; ok && dp == ds-1 {
+				dist[s.id] = dist[cur.id] + 1
+				queue = append(queue, s)
+			}
+		}
+		for _, s := range queue[1:] {
+			var next []int
+			for i, p := range s.ports {
+				if !p.linkDown && dist[p.PeerNode.ID()] == dist[s.id]-1 {
 					next = append(next, i)
 				}
 			}
 			if len(next) > 0 {
-				s.routes[dst.id] = next
+				for _, h := range hosts {
+					s.routes[h.id] = next
+				}
+			}
+		}
+		for _, h := range hosts {
+			if i := h.port.PeerPort; !e.ports[i].linkDown {
+				e.routes[h.id] = []int{i}
 			}
 		}
 	}
-}
-
-// bfs returns hop distances from every node to dst over live links.
-func (n *Network) bfs(dst Node) map[NodeID]int {
-	dist := map[NodeID]int{dst.ID(): 0}
-	queue := []Node{dst}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, p := range cur.Ports() {
-			peer := p.PeerNode
-			if peer == nil || p.linkDown {
-				continue
-			}
-			if s, ok := peer.(*Switch); ok && s.failed {
-				continue
-			}
-			if _, seen := dist[peer.ID()]; !seen {
-				dist[peer.ID()] = dist[cur.ID()] + 1
-				queue = append(queue, peer)
-			}
-		}
-	}
-	return dist
 }
 
 // StartFlow begins a flow from src to dst with the given configuration.

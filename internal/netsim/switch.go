@@ -58,7 +58,7 @@ type Switch struct {
 	id     NodeID
 	Name   string
 	ports  []*Port
-	routes map[NodeID][]int // destination -> equal-cost egress ports
+	routes [][]int // by destination NodeID: equal-cost egress ports; shared, never edited in place
 	Buffer BufferConfig
 
 	bufferUsed    int
@@ -289,7 +289,7 @@ func (s *Switch) FlushPortData(p *Port) (pkts, bytes int) {
 // egressFor picks the egress port for a packet, hashing flows across
 // equal-cost paths (ECMP).
 func (s *Switch) egressFor(pkt *Packet) *Port {
-	choices := s.routes[pkt.Dst]
+	choices := s.route(pkt.Dst)
 	switch len(choices) {
 	case 0:
 		return nil
@@ -298,6 +298,15 @@ func (s *Switch) egressFor(pkt *Packet) *Port {
 	}
 	h := ecmpHash(uint64(pkt.Flow), uint64(s.id))
 	return s.ports[choices[h%uint64(len(choices))]]
+}
+
+// route returns the equal-cost egress ports toward dst, or nil when the
+// table holds none (including nodes added after the last ComputeRoutes).
+func (s *Switch) route(dst NodeID) []int {
+	if uint(dst) < uint(len(s.routes)) {
+		return s.routes[dst]
+	}
+	return nil
 }
 
 // resetPFC clears the sent-Xoff record for one ingress after its link

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rocc/internal/sim"
@@ -98,7 +99,7 @@ func (n *Network) RestoreLink(p *Port) {
 func (n *Network) FailSwitch(s *Switch) {
 	n.routesDynamic = true
 	s.failed = true
-	s.routes = make(map[NodeID][]int)
+	s.routes = nil
 	for _, p := range s.ports {
 		peer := peerPort(p)
 		p.SetLinkDown(true)
@@ -124,26 +125,27 @@ func (n *Network) RestoreSwitch(s *Switch) {
 }
 
 // invalidatePort removes a downed port from every ECMP entry of the
-// switch that owns it; entries left with no choices are deleted, and
+// switch that owns it; entries left with no choices are cleared, and
 // packets for those destinations blackhole until reconvergence finds an
-// alternate path (or the restore brings this one back).
+// alternate path (or the restore brings this one back). ComputeRoutes
+// shares one choices slice among many destinations, so a changed entry
+// gets a fresh slice rather than an in-place edit.
 func (n *Network) invalidatePort(p *Port) {
 	s, ok := p.owner.(*Switch)
 	if !ok {
 		return
 	}
 	for dst, choices := range s.routes {
-		kept := choices[:0]
+		if !slices.Contains(choices, p.Index) {
+			continue
+		}
+		var kept []int
 		for _, i := range choices {
 			if i != p.Index {
 				kept = append(kept, i)
 			}
 		}
-		if len(kept) == 0 {
-			delete(s.routes, dst)
-		} else {
-			s.routes[dst] = kept
-		}
+		s.routes[dst] = kept
 	}
 }
 
@@ -203,8 +205,8 @@ func (n *Network) RoutesComplete() (string, bool) {
 			return fmt.Sprintf("switch %s still failed", s.Name), false
 		}
 		for _, h := range n.hosts {
-			choices, ok := s.routes[h.id]
-			if !ok {
+			choices := s.route(h.id)
+			if len(choices) == 0 {
 				return fmt.Sprintf("switch %s has no route to host %s", s.Name, h.Name), false
 			}
 			live := false

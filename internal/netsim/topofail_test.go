@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"rocc/internal/harness"
@@ -59,7 +58,7 @@ func TestFailLinkBlackholeWindowAndRecovery(t *testing.T) {
 		t.Error("no blackhole drops while the only path was invalidated")
 	}
 	// Reconvergence over the broken fabric cannot resurrect the route.
-	if _, ok := sw.routes[b.ID()]; ok {
+	if len(sw.route(b.ID())) != 0 {
 		t.Error("switch still routes to dst over a dead link")
 	}
 	if detail, ok := net.RoutesComplete(); ok {
@@ -252,19 +251,15 @@ func TestTopoFailTelemetry(t *testing.T) {
 }
 
 // routeTable serializes a network's full forwarding state into a
-// canonical string for equality comparison.
+// canonical string for equality comparison. Choices keep their table
+// order: the ECMP hash indexes into it.
 func routeTable(net *Network) string {
 	var sb []string
 	for _, s := range net.switches {
-		dsts := make([]NodeID, 0, len(s.routes))
-		for d := range s.routes {
-			dsts = append(dsts, d)
-		}
-		sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-		for _, d := range dsts {
-			choices := append([]int(nil), s.routes[d]...)
-			sort.Ints(choices)
-			sb = append(sb, fmt.Sprintf("%s->%d:%v", s.Name, d, choices))
+		for d, choices := range s.routes {
+			if len(choices) > 0 {
+				sb = append(sb, fmt.Sprintf("%s->%d:%v", s.Name, d, choices))
+			}
 		}
 	}
 	return fmt.Sprint(sb)
